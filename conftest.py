@@ -48,7 +48,15 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+# Property tests draw the same examples on every run, so a tier-1 result
+# does not depend on the run; no example database is written.
+settings.register_profile(
+    "repro", derandomize=True, max_examples=50, deadline=None, database=None
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
-from repro.core.l0_sampler import L0SamplerBank
+from repro.core.l0_sampler import _P, L0SamplerBank
 
 
 class InsertionDeletionND:
@@ -48,6 +48,11 @@ class InsertionDeletionND:
     ) -> None:
         if c < 1:
             raise ValueError("c must be >= 1")
+        if n * m >= _P:
+            raise ValueError(
+                f"n*m = {n}*{m} = {n * m} edge coordinates exceed the edge "
+                f"bank's cap: n*m must be < 2^31 - 1 = {_P}"
+            )
         self.n, self.m, self.d, self.c = n, m, d, c
         self.d_c = max(1, d // c)
         self.x = max(n / c, math.sqrt(n))

@@ -23,6 +23,16 @@ makes deletions free.
 ``(num, L)`` numpy accumulators; contributions are bucketed at the
 assigned level and suffix-summed at query time (a coordinate at level
 ``G`` belongs to all levels ``<= G``).
+
+``update`` first sums the deltas of repeated coordinates and drops
+coordinates whose deltas cancel (an insert-then-delete pair), then
+hashes every remaining coordinate against every sampler, in chunks of
+about 64k (sampler, coordinate) cells so the temporaries fit in cache.
+The level ``floor(-log2((h + 0.5) / P))`` of hash value ``h`` is read
+off the float64 exponent of ``h`` as ``30 - floor(log2 h)`` (31 for
+``h = 0``), with no ``log2`` call. Units accumulate through float64
+``bincount``s, which are exact while ``sum |delta| * max(dim, Q) <
+2^53``; ``update`` raises ``ValueError`` past that bound.
 """
 from __future__ import annotations
 
@@ -36,6 +46,18 @@ _P = (1 << 31) - 1  # hash modulus (Mersenne prime)
 _Q = (1 << 31) - 1  # fingerprint field
 
 
+def _mod(z: np.ndarray, m: int | np.uint64) -> np.ndarray:
+    """``z % m`` in place, for non-negative ``z``.
+
+    numpy divides by a constant several times faster than it takes a
+    remainder, so ``z - (z // m) * m`` beats ``np.remainder`` here.
+    """
+    q = z // m
+    q *= m
+    z -= q
+    return z
+
+
 def _fingerprint(a2: np.ndarray, b2: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per-sampler NONLINEAR fingerprint hash ``g_j(i)``.
 
@@ -46,11 +68,15 @@ def _fingerprint(a2: np.ndarray, b2: np.ndarray, idx: np.ndarray) -> np.ndarray:
     (wrapping uint64 arithmetic is part of the mix) before reducing to
     the fingerprint field.
     """
-    z = ((a2 * idx + b2) % _Q).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return (z % np.uint64(_Q)).astype(np.int64)
+    z = a2 * idx
+    z += b2
+    z = _mod(z, _Q).view(np.uint64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return _mod(z, np.uint64(_Q)).view(np.int64)
 
 
 class L0SamplerBank:
@@ -82,46 +108,73 @@ class L0SamplerBank:
         idx: np.ndarray,
         delta: np.ndarray | int = 1,
         rows: slice | np.ndarray | None = None,
-        chunk_cells: int = 4_000_000,
+        chunk_cells: int = 65_536,
     ) -> None:
         """Apply ``vec[idx] += delta`` to the samplers in ``rows`` (all by
-        default). Vectorised and chunked over samplers."""
+        default). Vectorised and chunked over samplers; a chunk hashes
+        about ``chunk_cells`` (sampler, coordinate) cells, so its
+        temporaries stay cache-sized.
+
+        Raises ``ValueError`` on a coordinate outside ``[0, dim)`` and when
+        a unit's float64 accumulation could stop being exact.
+        """
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return
-        if np.isscalar(delta):
-            delta = np.full(idx.shape, delta, dtype=np.int64)
-        else:
-            delta = np.asarray(delta, dtype=np.int64)
+        delta = np.asarray(delta, dtype=np.int64)
         if (idx < 0).any() or (idx >= self.dim).any():
             raise ValueError("coordinate out of range")
-        row_ids = (
-            np.arange(self.num, dtype=np.int64)
-            if rows is None
-            else np.arange(self.num, dtype=np.int64)[rows]
-        )
+        # The update is linear, so repeated coordinates are summed before
+        # hashing and coordinates whose deltas cancel are dropped.
+        idx, inv = np.unique(idx, return_inverse=True)
+        summed = np.zeros(idx.size, dtype=np.int64)
+        np.add.at(summed, inv, delta)
+        keep = summed != 0
+        idx, delta = idx[keep], summed[keep]
+        if idx.size == 0:
+            return
+        # Units are summed in float64 bincounts, which are exact only while
+        # every partial sum stays below 2^53; a unit's sum is at most
+        # sum|delta| * max(dim, Q) in absolute value.
+        if np.abs(delta.astype(np.float64)).sum() * max(self.dim, _Q) >= 2.0**53:
+            raise ValueError(
+                "sum of |delta| in one update is too large for exact float64 "
+                "accumulation; split the update"
+            )
         E = idx.size
-        step = max(1, chunk_cells // max(E, 1))
+        row_ids = np.arange(self.num, dtype=np.int64)[slice(None) if rows is None else rows]
+        step = max(1, min(chunk_cells // E, row_ids.size))
+        # The S0 and S1 weights of a cell do not depend on its sampler: lay
+        # them out once for a full chunk of row-major (sampler, coordinate) cells.
+        w01 = np.empty((2, step, E))
+        w01[0] = delta
+        w01[1] = delta * idx
+        w0, w1 = w01[0].ravel(), w01[1].ravel()
+        # Level G = min(L - 1, floor(-log2((h + 0.5) / P))). For 0 < h < P
+        # that floor is 30 - floor(log2 h) = 1053 - e, where e is the biased
+        # float64 exponent of h; h == 0 has e == 0 and level 31. So
+        # G = 1053 - max(e, 1053 - min(L - 1, 31)), and the cell's bincount
+        # slot is row * L + G.
+        e_floor = 1053 - min(self.L - 1, 31)
+        row_base = np.arange(step, dtype=np.int64)[:, None] * self.L + 1053
         for lo in range(0, row_ids.size, step):
             r = row_ids[lo : lo + step]
             nc = r.size
-            h = (self.a1[r][:, None] * idx[None, :] + self.b1[r][:, None]) % _P
-            u = (h.astype(np.float64) + 0.5) / _P
-            G = np.minimum(self.L - 1, np.floor(-np.log2(u)).astype(np.int64))
-            gfp = _fingerprint(self.a2[r][:, None], self.b2[r][:, None], idx[None, :])
-            flat = (np.arange(nc, dtype=np.int64)[:, None] * self.L + G).ravel()
+            h = self.a1[r][:, None] * idx
+            h += self.b1[r][:, None]
+            flat = _mod(h, _P).astype(np.float64).view(np.int64)
+            flat >>= 52
+            np.maximum(flat, e_floor, out=flat)
+            np.subtract(row_base[:nc], flat, out=flat)
+            flat = flat.ravel()
+            gfp = _fingerprint(self.a2[r][:, None], self.b2[r][:, None], idx)
             minlen = nc * self.L
-            d_b = np.broadcast_to(delta[None, :], (nc, E)).ravel().astype(np.float64)
-            w1 = np.broadcast_to((delta * idx)[None, :], (nc, E)).ravel().astype(
-                np.float64
-            )
-            w2 = (delta[None, :] * gfp).ravel().astype(np.float64)
-            c0 = np.bincount(flat, weights=d_b, minlength=minlen).astype(np.int64)
-            c1 = np.bincount(flat, weights=w1, minlength=minlen).astype(np.int64)
-            c2 = np.bincount(flat, weights=w2, minlength=minlen).astype(np.int64)
-            self.S0[r] += c0.reshape(nc, self.L)
-            self.S1[r] += c1.reshape(nc, self.L)
-            self.S2[r] = (self.S2[r] + c2.reshape(nc, self.L)) % _Q
+            c0 = np.bincount(flat, w0[: flat.size], minlen)
+            c1 = np.bincount(flat, w1[: flat.size], minlen)
+            c2 = np.bincount(flat, w0[: flat.size] * gfp.ravel(), minlen)
+            self.S0[r] += c0.astype(np.int64).reshape(nc, self.L)
+            self.S1[r] += c1.astype(np.int64).reshape(nc, self.L)
+            self.S2[r] = (self.S2[r] + c2.astype(np.int64).reshape(nc, self.L)) % _Q
 
     # ------------------------------------------------------------------ #
 

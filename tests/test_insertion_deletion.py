@@ -38,6 +38,13 @@ def test_rejects_bad_c():
         InsertionDeletionND(8, 8, 4, 0)
 
 
+def test_rejects_edge_dim_at_cap():
+    """The edge bank indexes edges by a*m + b in a field of size 2^31 - 1."""
+    with pytest.raises(ValueError, match=r"n\*m = 65536\*32768 .* 2147483647"):
+        InsertionDeletionND(1 << 16, 1 << 15, 4, 2)
+    InsertionDeletionND(1, (1 << 31) - 2, 4, 2)  # largest n*m below the cap
+
+
 def test_x_parameter_regimes():
     assert InsertionDeletionND(256, 8, 8, 2).x == 128  # n/c
     assert InsertionDeletionND(256, 8, 8, 32).x == 16  # sqrt(n)
