@@ -1,11 +1,11 @@
 """Shared entrypoint plumbing for the table jobs.
 
-Each ``jobs/tableN_*.py`` is a ``spark-submit`` entrypoint that builds
-one table from ``repro.tables`` and prints it. Run as e.g.::
+``jobs/run_table.py N`` is a ``spark-submit`` entrypoint that builds
+table ``N`` from ``repro.tables`` and prints it. Run as e.g.::
 
-    spark-submit jobs/table1_insertion_only.py
+    spark-submit jobs/run_table.py 1
 
-or plain ``python jobs/table1_insertion_only.py`` (local mode).
+or plain ``python jobs/run_table.py 1`` (local mode).
 """
 import sys
 

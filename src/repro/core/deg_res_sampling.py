@@ -1,12 +1,22 @@
 """Algorithm 1: ``Deg-Res-Sampling(d1, d2, s)`` (paper §3.1).
 
 Maintains all A-vertex degrees; the moment a vertex's degree reaches
-``d1`` it becomes a reservoir *candidate* and is kept with probability
-``s/x`` (``x`` = number of candidates so far), evicting a uniform
-member when full — the classic reservoir invariant over the candidate
-set. For every vertex in the reservoir the next up-to-``d2`` incident
-edges are collected (the triggering edge included, so a vertex of final
-degree ``deg`` yields ``min(d2, deg - d1 + 1)`` neighbors).
+``d1`` it becomes a reservoir *candidate*. The reservoir keeps the ``s``
+candidates with the smallest priority ``_priority(seed, v)``, a
+deterministic uniform(0,1) hash of the vertex (bottom-``s`` sampling).
+Priorities are i.i.d. uniform, so after ``x`` candidates the reservoir
+is a uniform ``s``-subset of them, as with the paper's ``Coin(s/x)``
+plus uniform eviction; and a vertex leaves the reservoir only when ``s``
+smaller priorities have arrived, so it never returns. For every vertex
+in the reservoir the next up-to-``d2`` incident edges are collected (the
+triggering edge included, so a vertex of final degree ``deg`` yields
+``min(d2, deg - d1 + 1)`` neighbors).
+
+Because a priority depends only on ``(seed, v)``, disjoint substreams
+can run their own reservoirs and be merged by keeping the ``s``
+smallest priorities: that is how ``insertion_only.run_distributed``
+executes this kernel on Spark partitions and gets the sequential answer
+bit for bit.
 
 The per-batch implementation is vectorised: running degrees via a
 grouped cumulative count, then a sequential pass over only the (rare)
@@ -17,10 +27,31 @@ batch-size invariance.
 """
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 import numpy as np
 import pandas as pd
+
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_SEED = np.uint64(0xD1B54A32D192ED03)
+_SPLITMIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_C2 = np.uint64(0x94D049BB133111EB)
+
+
+def _priority(seed: int, v: np.ndarray) -> np.ndarray:
+    """Deterministic uniform[0,1) priority per (seed, vertex).
+
+    splitmix64 finaliser of ``seed·K + (v+1)·γ``: the same on every
+    machine and partition, which is what makes the bottom-k merge exact.
+    """
+    with np.errstate(over="ignore"):  # wrapping uint64 mul is the mix
+        z = (np.asarray(v, dtype=np.uint64) + np.uint64(1)) * _SPLITMIX_GAMMA
+        z += np.uint64(seed) * _SPLITMIX_SEED
+        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_C1
+        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_C2
+        z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
 class DegResSampling:
@@ -32,7 +63,7 @@ class DegResSampling:
     d1 : degree threshold at which a vertex becomes a candidate.
     d2 : number of incident edges to collect per sampled vertex.
     s : reservoir size.
-    seed : RNG seed (``Coin(s/x)`` and evictions).
+    seed : key of the priority hash ``_priority(seed, v)``.
     shared_degrees : optional externally-maintained degree array; when
         given, this run neither stores nor updates degrees itself
         (Algorithm 2 shares one degree array across its ``c`` runs) and
@@ -54,12 +85,12 @@ class DegResSampling:
         self.d1 = d1
         self.d2 = d2
         self.s = s
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
         self._own_deg = shared_degrees is None
         self.deg = np.zeros(n, dtype=np.int64) if self._own_deg else shared_degrees
         self.x = 0  # candidates seen so far (paper's x)
-        self._res: list[int] = []  # reservoir as list for O(1) uniform evict
-        self._res_pos: dict[int, int] = {}
+        # Max-heap of (-priority, -v): the root is the member to evict.
+        self._heap: list[tuple[float, int]] = []
         self.collected: dict[int, list[int]] = {}  # vertex -> collected b's
         self.peak_collected = 0
 
@@ -84,21 +115,18 @@ class DegResSampling:
         ``cand_rows`` are batch row indices where a vertex's running
         degree hits ``d1`` exactly, in stream order.
         """
+        cand_v = a[cand_rows]
+        prios = _priority(self.seed, cand_v)
         enter_row: dict[int, int] = {}
-        for i in cand_rows.tolist():
-            v = int(a[i])
+        for i, v, p in zip(cand_rows.tolist(), cand_v.tolist(), prios.tolist()):
             self.x += 1
-            if len(self._res) < self.s:
-                self._insert(v, i, enter_row)
-            elif self.rng.random() < self.s / self.x:
-                out = self._res[int(self.rng.integers(len(self._res)))]
-                self._remove(out, enter_row)
-                self._insert(v, i, enter_row)
+            if self.admit(v, p):
+                enter_row[v] = i
         # Vectorised collection for current members only: evicted
         # vertices' edges were discarded anyway (paper line 12).
-        if not self._res:
+        if not self.collected:
             return
-        r_arr = np.fromiter(self._res, dtype=np.int64, count=len(self._res))
+        r_arr = np.fromiter(self.collected, dtype=np.int64, count=len(self.collected))
         rows = np.flatnonzero(np.isin(a, r_arr))
         if len(rows) == 0:
             return
@@ -116,26 +144,28 @@ class DegResSampling:
             self.peak_collected, sum(len(v) for v in self.collected.values())
         )
 
-    def _insert(self, v: int, row: int, enter_row: dict[int, int]) -> None:
-        self._res_pos[v] = len(self._res)
-        self._res.append(v)
-        self.collected[v] = []
-        enter_row[v] = row
+    def admit(self, v: int, p: float) -> bool:
+        """Offer candidate ``v`` with priority ``p`` to the reservoir.
 
-    def _remove(self, v: int, enter_row: dict[int, int]) -> None:
-        pos = self._res_pos.pop(v)
-        last = self._res.pop()
-        if last != v:
-            self._res[pos] = last
-            self._res_pos[last] = pos
-        del self.collected[v]
-        enter_row.pop(v, None)
+        Keeps the ``s`` smallest ``(p, v)``: a full reservoir evicts its
+        largest member (and that member's edges) when ``v`` is smaller.
+        Returns whether ``v`` got in; it starts with no collected edges.
+        """
+        key = (-p, -v)
+        if len(self._heap) < self.s:
+            heapq.heappush(self._heap, key)
+        elif key > self._heap[0]:
+            del self.collected[-heapq.heapreplace(self._heap, key)[1]]
+        else:
+            return False
+        self.collected[v] = []
+        return True
 
     # ------------------------------------------------------------------ #
 
     @property
     def reservoir(self) -> list[int]:
-        return list(self._res)
+        return list(self.collected)
 
     def neighborhoods(self) -> dict[int, list[int]]:
         """All collected (possibly partial) neighborhoods."""
@@ -145,14 +175,26 @@ class DegResSampling:
         """Paper's success: some stored neighborhood reached size ``d2``."""
         return any(len(bs) >= self.d2 for bs in self.collected.values())
 
+    def best(self) -> Optional[tuple[float, int]]:
+        """``(priority, v)`` of the smallest-priority full neighborhood."""
+        full = [
+            (-neg_p, -neg_v) for neg_p, neg_v in self._heap
+            if len(self.collected[-neg_v]) >= self.d2
+        ]
+        return min(full, default=None)
+
     def result(self) -> Optional[tuple[int, set[int]]]:
-        """Uniform random neighborhood among those of size ``d2``; None=fail."""
-        full = [(v, bs) for v, bs in self.collected.items() if len(bs) >= self.d2]
-        if not full:
+        """The size-``d2`` neighborhood of smallest priority; None=fail.
+
+        A member's priority is independent of its degree, so this is a
+        uniform pick among the full neighborhoods, and a deterministic
+        one: repeated calls give the same answer.
+        """
+        pick = self.best()
+        if pick is None:
             return None
-        v, bs = full[int(self.rng.integers(len(full)))]
-        return v, set(bs)
+        return pick[1], set(self.collected[pick[1]])
 
     def space_words(self) -> int:
         own = self.n if self._own_deg else 0
-        return own + len(self._res) + sum(len(v) for v in self.collected.values()) + 2
+        return own + len(self._heap) + sum(len(v) for v in self.collected.values()) + 2

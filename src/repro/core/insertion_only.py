@@ -5,20 +5,19 @@ parallel over one shared degree array, with ``s = ceil(n^{1/c} ln n)``
 (Theorem 3.2). If the input contains an A-vertex of degree ``>= d``, at
 least one run finds a neighborhood of size ``d/c`` w.p. ``>= 1 - 1/n``.
 
-Two execution modes:
+Two execution modes of the same kernel (:class:`DegResSampling`):
 
-- :class:`InsertionOnlyND` — the sequential reference processor
+- :class:`InsertionOnlyND` — the sequential processor
   (``repro.streamsim.runner.StreamProcessor``), semantics exactly the
   paper's.
-- :func:`run_distributed` — a Spark variant: the stream is hash-
-  partitioned on the A-vertex (Catalyst), each partition runs the same
-  threshold/collection logic with *priority-based bottom-k* reservoirs
-  (deterministic per-vertex priorities), and the driver merges by
-  taking the global ``s`` smallest priorities per run. Bottom-k over
-  disjoint candidate sets is distribution-identical to sequential
-  reservoir sampling, and a vertex in the global bottom-k was in its
-  partition's bottom-k from its candidate edge onward, so collection
-  semantics match the sequential algorithm edge-for-edge.
+- :func:`run_distributed` — the stream is hash-partitioned on the
+  A-vertex (Catalyst), each partition runs :class:`InsertionOnlyND` on
+  its substream, and the driver keeps the global ``s`` smallest
+  priorities per run. A reservoir is bottom-``s`` over a per-vertex
+  priority hash, so a vertex in the global bottom-``s`` was in its
+  partition's bottom-``s`` from its candidate edge onward, and its
+  collected edges are the sequential ones. The answer equals the
+  sequential processor's for every partition count.
 """
 from __future__ import annotations
 
@@ -26,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, _priority
 from repro.space import reservoir_size
 
 
@@ -56,7 +55,6 @@ class InsertionOnlyND:
             )
             for i, d1 in enumerate(run_thresholds(d, c))
         ]
-        self.rng = np.random.default_rng(seed)
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         if (batch["op"].to_numpy() != 1).any():
@@ -70,11 +68,13 @@ class InsertionOnlyND:
         np.add.at(self.deg, a, 1)
 
     def result(self) -> Optional[tuple[int, set[int]]]:
-        """Uniform random neighborhood among the successful runs'."""
-        winners = [r for r in self.runs if r.succeeded()]
-        if not winners:
-            return None
-        return winners[int(self.rng.integers(len(winners)))].result()
+        """The full neighborhood of smallest priority over all runs.
+
+        A function of the state alone: repeated calls, a restored
+        checkpoint and :func:`run_distributed` give the same answer.
+        """
+        picks = [(pick, i) for i, r in enumerate(self.runs) if (pick := r.best())]
+        return self.runs[min(picks)[1]].result() if picks else None
 
     def succeeded(self) -> bool:
         return any(r.succeeded() for r in self.runs)
@@ -87,80 +87,30 @@ class InsertionOnlyND:
 # Distributed variant
 # ---------------------------------------------------------------------- #
 
-_SPLITMIX_C1 = np.uint64(0xBF58476D1CE4E5B9)
-_SPLITMIX_C2 = np.uint64(0x94D049BB133111EB)
-
-
-def _priority(seed: int, run: int, v: np.ndarray) -> np.ndarray:
-    """Deterministic uniform(0,1) priority per (seed, run, vertex).
-
-    splitmix64 finaliser — identical on every partition, which is what
-    makes the bottom-k merge exact.
-    """
-    with np.errstate(over="ignore"):  # wrapping uint64 mul is the mix
-        z = (
-            np.asarray(v, dtype=np.uint64)
-            + np.uint64(run + 1) * np.uint64(0x9E3779B97F4A7C15)
-            + np.uint64(seed) * np.uint64(0xD1B54A32D192ED03)
-        )
-        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_C1
-        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_C2
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-
 
 def _partition_pass(
-    pdf: pd.DataFrame, thresholds: list[int], d_c: int, s: int, seed: int
+    pdf: pd.DataFrame, n: int, d: int, c: int, seed: int, s: int
 ) -> pd.DataFrame:
-    """Per-partition bottom-k threshold sampling (runs inside Spark).
+    """One partition's Algorithm 2 (runs inside Spark).
 
-    Emits one row per collected edge ``(run, v, prio, b)`` plus one
-    bookkeeping row per run ``(run, -1, 0.0, x_partition)`` carrying the
-    partition's candidate count.
+    Emits one row ``(run, v, b)`` per collected edge plus one row
+    ``(run, -1, x)`` per run carrying the partition's candidate count.
+    Degrees are exact: every edge of a vertex lands in this partition.
     """
-    pdf = pdf.sort_values("pos", kind="stable")
-    a = pdf["a"].to_numpy()
-    b = pdf["b"].to_numpy()
-    occ = pd.Series(a).groupby(a).cumcount().to_numpy()
-    # Degrees are exact per partition: every edge of a vertex lands here.
-    new_deg = occ + 1
-    out_run, out_v, out_prio, out_b = [], [], [], []
-    for run_i, d1 in enumerate(thresholds):
-        cand_rows = np.flatnonzero(new_deg == d1)
-        cand_v = a[cand_rows]
-        prios = _priority(seed, run_i, cand_v)
-        # Bottom-k membership interval per candidate: v is a member from
-        # its candidate edge until s candidates with smaller priority
-        # have arrived (then it is evicted, never to return).
-        members: list[tuple[float, int, int]] = []  # (prio, v, enter_row)
-        for idx in range(len(cand_rows)):
-            v, p, row = int(cand_v[idx]), float(prios[idx]), int(cand_rows[idx])
-            if len(members) < s:
-                members.append((p, v, row))
-            else:
-                worst = max(range(len(members)), key=lambda j: members[j][0])
-                if p < members[worst][0]:
-                    members[worst] = (p, v, row)
-        live = {v: (row, p) for (p, v, row) in members}
-        if live:
-            rows = np.flatnonzero(np.isin(a, np.fromiter(live, dtype=np.int64)))
-            sub = pd.DataFrame({"row": rows, "a": a[rows], "b": b[rows]})
-            for v, grp in sub.groupby("a", sort=False):
-                v = int(v)
-                enter, p = live[v]
-                take = grp[grp["row"] >= enter].head(d_c)
-                for bb in take["b"].tolist():
-                    out_run.append(run_i)
-                    out_v.append(v)
-                    out_prio.append(p)
-                    out_b.append(int(bb))
-        out_run.append(run_i)
+    proc = InsertionOnlyND(n, d, c, seed, s)
+    proc.process_batch(pdf.sort_values("pos", kind="stable"))
+    out_run, out_v, out_b = [], [], []
+    for i, run in enumerate(proc.runs):
+        for v, bs in run.collected.items():
+            out_run += [i] * len(bs)
+            out_v += [v] * len(bs)
+            out_b += bs
+        out_run.append(i)
         out_v.append(-1)
-        out_prio.append(0.0)
-        out_b.append(len(cand_rows))
-    return pd.DataFrame(
-        {"run": out_run, "v": out_v, "prio": out_prio, "b": out_b}
-    ).astype({"run": "int32", "v": "int64", "prio": "float64", "b": "int64"})
+        out_b.append(run.x)
+    return pd.DataFrame({"run": out_run, "v": out_v, "b": out_b}).astype(
+        {"run": "int32", "v": "int64", "b": "int64"}
+    )
 
 
 def run_distributed(
@@ -175,42 +125,35 @@ def run_distributed(
     """Distributed Algorithm 2 over a Spark edge stream.
 
     Returns ``{"result": (a, set_b) | None, "per_run": {...},
-    "space_words": int}``. Space counts the *global* state an equivalent
+    "space_words": int}``, equal to sequential :class:`InsertionOnlyND`
+    with the same seed. Space counts the *global* state an equivalent
     coordinated deployment holds: n degree words + per-run reservoir and
     collected edges after the merge.
     """
-    thresholds = run_thresholds(d, c)
-    d_c = max(1, d // c)
-    s = reservoir_size(n, c) if s is None else s
+    proc = InsertionOnlyND(n, d, c, seed, s)
     parts = (
         df.withColumn("pid", F.pmod(F.col("a"), F.lit(num_partitions)))
         .groupBy("pid")
         .applyInPandas(
-            lambda pdf: _partition_pass(pdf, thresholds, d_c, s, seed),
-            schema="run int, v long, prio double, b long",
+            lambda pdf: _partition_pass(pdf, n, d, c, seed, proc.s),
+            schema="run int, v long, b long",
         )
         .toPandas()
     )
-    rng = np.random.default_rng(seed)
     per_run: dict[int, dict] = {}
-    winners: list[tuple[int, set[int]]] = []
     total_words = n
-    for run_i in range(c):
-        sub = parts[parts["run"] == run_i]
-        x_total = int(sub.loc[sub["v"] == -1, "b"].sum())
+    for i, run in enumerate(proc.runs):
+        sub = parts[parts["run"] == i]
+        run.x = int(sub.loc[sub["v"] < 0, "b"].sum())
         edges = sub[sub["v"] >= 0]
-        cand = (
-            edges[["v", "prio"]].drop_duplicates().sort_values("prio").head(s)
-        )
-        keep = set(int(v) for v in cand["v"].tolist())
-        nbrs = {
-            int(v): set(int(x) for x in g["b"].tolist())
-            for v, g in edges[edges["v"].isin(keep)].groupby("v")
-        }
-        full = {v: bs for v, bs in nbrs.items() if len(bs) >= d_c}
-        per_run[run_i] = {"x": x_total, "members": nbrs, "full": full}
-        total_words += len(nbrs) + sum(len(b) for b in nbrs.values())
-        for v, bs in full.items():
-            winners.append((v, bs))
-    result = winners[int(rng.integers(len(winners)))] if winners else None
-    return {"result": result, "per_run": per_run, "space_words": total_words}
+        vs = edges["v"].unique()
+        for v, p in zip(vs.tolist(), _priority(run.seed, vs).tolist()):
+            run.admit(v, p)
+        kept = edges[edges["v"].isin(list(run.collected))]
+        for v, bs in kept.groupby("v", sort=False)["b"]:
+            run.collected[int(v)] = bs.tolist()
+        nbrs = {v: set(bs) for v, bs in run.collected.items()}
+        full = {v: bs for v, bs in nbrs.items() if len(bs) >= run.d2}
+        per_run[i] = {"x": run.x, "members": nbrs, "full": full}
+        total_words += len(nbrs) + sum(len(bs) for bs in nbrs.values())
+    return {"result": proc.result(), "per_run": per_run, "space_words": total_words}

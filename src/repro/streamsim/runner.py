@@ -10,7 +10,7 @@ reductions do: "send the resulting memory state to the next party").
 from __future__ import annotations
 
 import pickle
-from typing import Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -50,11 +50,6 @@ def run_stream_pandas(
     return proc
 
 
-def state_size_bytes(proc: StreamProcessor) -> int:
-    """Serialized memory-state size — the message length in a reduction."""
-    return len(pickle.dumps(proc, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 def checkpoint(proc: StreamProcessor) -> bytes:
     """Serialize a processor so another party can resume it."""
     return pickle.dumps(proc, protocol=pickle.HIGHEST_PROTOCOL)
@@ -63,9 +58,3 @@ def checkpoint(proc: StreamProcessor) -> bytes:
 def restore(blob: bytes) -> StreamProcessor:
     """Resume a processor from a serialized memory state."""
     return pickle.loads(blob)
-
-
-def neighborhood_or_none(proc) -> Optional[tuple[int, set[int]]]:
-    """Uniform accessor: processors expose ``result() -> (a, set_of_b)``."""
-    res = proc.result()
-    return res

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.deg_res_sampling import DegResSampling
+from repro.core.deg_res_sampling import DegResSampling, _priority
 from repro.streamsim.runner import run_stream_pandas
 
 
@@ -94,6 +94,14 @@ def test_reservoir_never_exceeds_s():
     p = run_stream_pandas(DegResSampling(32, 2, 1, s=5), mk_stream(edges))
     assert len(p.reservoir) <= 5
     assert p.x == 32
+
+
+def test_reservoir_is_bottom_s_by_priority():
+    """The reservoir holds the s candidates of smallest priority."""
+    edges = [(v, b) for v in range(32) for b in range(3)]
+    p = run_stream_pandas(DegResSampling(32, 2, 1, s=5, seed=3), mk_stream(edges))
+    bottom = np.argsort(_priority(3, np.arange(32)))[:5]
+    assert set(p.reservoir) == set(bottom.tolist())
 
 
 def test_reservoir_uniformity():

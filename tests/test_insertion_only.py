@@ -5,7 +5,7 @@ import pytest
 
 from repro import space, synth_data
 from repro.core.insertion_only import InsertionOnlyND, run_thresholds
-from repro.streamsim.runner import run_stream_pandas
+from repro.streamsim.runner import checkpoint, restore, run_stream_pandas
 
 
 def run_on(pdf, n, d, c, seed=0, batch_size=4096):
@@ -164,3 +164,18 @@ def test_degree_array_shared_across_runs():
         assert p.deg[v] == cnt
     for r in p.runs:
         assert r.deg is p.deg
+
+
+def test_result_deterministic_and_survives_checkpoint():
+    """result() reads the state only: the same answer on every call and
+    after a checkpoint/restore round trip."""
+    n, d, c = 256, 32, 8
+    pdf, _ = synth_data.planted_star_pandas(
+        n=n, m=1024, d=d, n_heavy=8, avg_deg=3.0, seed=53
+    )
+    p = run_on(pdf, n, d, c, seed=5)
+    assert sum(r.succeeded() for r in p.runs) > 1
+    first = p.result()
+    assert first is not None
+    assert all(p.result() == first for _ in range(5))
+    assert restore(checkpoint(p)).result() == first

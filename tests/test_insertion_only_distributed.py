@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 
 from repro import synth_data
-from repro.core.insertion_only import _priority, run_distributed
+from repro.core.deg_res_sampling import _priority
+from repro.core.insertion_only import InsertionOnlyND, run_distributed
 from repro.space import reservoir_size
+from repro.streamsim.runner import run_stream
 
 
 @pytest.fixture(scope="module")
@@ -18,14 +20,14 @@ def instance(spark):
 
 def test_priority_deterministic_and_uniformish():
     v = np.arange(10_000)
-    p1 = _priority(3, 1, v)
-    p2 = _priority(3, 1, v)
+    p1 = _priority(3001, v)
+    p2 = _priority(3001, v)
     assert (p1 == p2).all()
     assert 0.45 < p1.mean() < 0.55
     assert (p1 >= 0).all() and (p1 < 1).all()
     # different run/seed decorrelates
-    assert not np.allclose(p1, _priority(3, 2, v))
-    assert not np.allclose(p1, _priority(4, 1, v))
+    assert not np.allclose(p1, _priority(3002, v))
+    assert not np.allclose(p1, _priority(4001, v))
 
 
 @pytest.mark.parametrize("c", [2, 4])
@@ -58,14 +60,19 @@ def test_distributed_reservoir_capped(instance):
         assert len(run["members"]) <= s
 
 
-def test_distributed_partition_count_invariance(instance):
-    """The bottom-k merge makes the sample independent of partitioning."""
+@pytest.mark.parametrize("num_partitions", [1, 3, 8])
+@pytest.mark.parametrize("c", [2, 4])
+def test_distributed_equals_sequential(instance, c, num_partitions):
+    """One kernel: for a given seed the Spark path is the sequential
+    processor, whatever the partition count."""
     df, info, n, d = instance
-    a = run_distributed(df, n, d, 2, seed=11, num_partitions=2)
-    b = run_distributed(df, n, d, 2, seed=11, num_partitions=16)
-    for i in (0, 1):
-        assert set(a["per_run"][i]["members"]) == set(b["per_run"][i]["members"])
-        assert a["per_run"][i]["x"] == b["per_run"][i]["x"]
+    out = run_distributed(df, n, d, c, seed=11, num_partitions=num_partitions)
+    seq = run_stream(InsertionOnlyND(n, d, c, seed=11), df)
+    assert out["result"] == seq.result()
+    for i, run in enumerate(seq.runs):
+        got = out["per_run"][i]
+        assert got["members"] == {v: set(bs) for v, bs in run.collected.items()}
+        assert got["x"] == run.x
 
 
 def test_distributed_collections_match_thresholds(instance):

@@ -12,7 +12,6 @@ from repro.streamsim.runner import (
     restore,
     run_stream,
     run_stream_pandas,
-    state_size_bytes,
 )
 
 
@@ -108,7 +107,7 @@ def test_checkpoint_restore_roundtrip(small_stream):
     half = len(pdf) // 2
     p = run_stream_pandas(ExactND(64, 16), pdf.iloc[:half])
     blob = checkpoint(p)
-    assert state_size_bytes(p) == len(blob)
+    assert len(checkpoint(p)) == len(blob)
     q = restore(blob)
     run_stream_pandas(q, pdf.iloc[half:])
     full = run_stream_pandas(ExactND(64, 16), pdf)
@@ -124,4 +123,4 @@ def test_state_size_grows_with_stored_edges():
             {"pos": range(64), "a": np.arange(64) % 16, "b": range(64), "op": 1}
         ),
     )
-    assert state_size_bytes(big) > state_size_bytes(small)
+    assert len(checkpoint(big)) > len(checkpoint(small))
