@@ -10,3 +10,6 @@ def test_bench_table6(spark, benchmark):
         lambda: table6(spark, ns=(512, 2048), seed=0), rounds=1, iterations=1
     )
     assert (out["approx_ratio"] <= out["paper_guarantee"]).all()
+    assert out["valid_output"].all()
+    ins = out[out["model"] == "insertion_only"]
+    assert (ins["measured_words"] <= ins["semi_streaming_budget"]).all()

@@ -64,7 +64,7 @@ def party_stream(inst: DisjInstance, party: int, k: int) -> pd.DataFrame:
 def max_stored_neighborhood(proc: InsertionOnlyND) -> int:
     """Largest neighborhood any run of Algorithm 2 holds."""
     return max(
-        (len(bs) for r in proc.runs for bs in r.collected.values()), default=0
+        (len(bs) for r in proc.runs for bs in r.neighborhoods().values()), default=0
     )
 
 

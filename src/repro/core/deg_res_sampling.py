@@ -19,7 +19,8 @@ executes this kernel on Spark partitions and gets the sequential answer
 bit for bit.
 
 The per-batch implementation is vectorised: running degrees via a
-grouped cumulative count, then a sequential pass over only the (rare)
+grouped cumulative count shared by all runs over one degree array
+(:func:`insertion_batch`), then a sequential pass over only the (rare)
 candidate events, then vectorised edge collection for current reservoir
 members. Semantics are exactly the paper's per-edge loop — batching is
 an execution detail, and ``tests/test_deg_res_sampling.py`` asserts
@@ -54,6 +55,26 @@ def _priority(seed: int, v: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
+def insertion_batch(deg: np.ndarray, runs: list, batch: pd.DataFrame) -> None:
+    """Algorithm 1's batch step for all ``runs`` over one degree array.
+
+    Hands each run (via ``run.ingest``) the rows whose running degree
+    hits its ``d1``, then adds the batch to ``deg``.
+    """
+    if (batch["op"].to_numpy() != 1).any():
+        raise ValueError("Deg-Res-Sampling handles insertion-only streams")
+    a = batch["a"].to_numpy()
+    b = batch["b"].to_numpy()
+    bad = (a < 0) | (a >= len(deg))
+    if bad.any():
+        raise ValueError(f"vertex a={a[bad][0]} out of range 0 <= a < n={len(deg)}")
+    occ = pd.Series(a).groupby(a).cumcount().to_numpy()
+    new_deg = deg[a] + occ + 1
+    for run in runs:
+        run.ingest(a, b, np.flatnonzero(new_deg == run.d1))
+    np.add.at(deg, a, 1)
+
+
 class DegResSampling:
     """One run of Algorithm 1 over the canonical edge stream.
 
@@ -67,7 +88,7 @@ class DegResSampling:
     shared_degrees : optional externally-maintained degree array; when
         given, this run neither stores nor updates degrees itself
         (Algorithm 2 shares one degree array across its ``c`` runs) and
-        the caller must pass candidate rows to :meth:`ingest`.
+        the owner of the array feeds it through :func:`insertion_batch`.
     """
 
     def __init__(
@@ -98,16 +119,9 @@ class DegResSampling:
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         """Standalone use: consume a micro-batch (insertion-only)."""
-        if (batch["op"].to_numpy() != 1).any():
-            raise ValueError("Deg-Res-Sampling handles insertion-only streams")
-        a = batch["a"].to_numpy()
-        b = batch["b"].to_numpy()
-        occ = pd.Series(a).groupby(a).cumcount().to_numpy()
-        new_deg = self.deg[a] + occ + 1
-        cand_rows = np.flatnonzero(new_deg == self.d1)
-        self.ingest(a, b, cand_rows)
-        if self._own_deg:
-            np.add.at(self.deg, a, 1)
+        if not self._own_deg:
+            raise RuntimeError("shared degrees: the owner feeds this run")
+        insertion_batch(self.deg, [self], batch)
 
     def ingest(self, a: np.ndarray, b: np.ndarray, cand_rows: np.ndarray) -> None:
         """Core per-batch step given precomputed candidate rows.
@@ -171,16 +185,18 @@ class DegResSampling:
         """All collected (possibly partial) neighborhoods."""
         return {v: list(bs) for v, bs in self.collected.items()}
 
+    def _full(self, v: int) -> bool:
+        """``v`` holds ``d2`` distinct witnesses: streams must be simple, and
+        a repeated edge is detected (it counts once), not rejected."""
+        return len(set(self.collected[v])) >= self.d2
+
     def succeeded(self) -> bool:
         """Paper's success: some stored neighborhood reached size ``d2``."""
-        return any(len(bs) >= self.d2 for bs in self.collected.values())
+        return any(self._full(v) for v in self.collected)
 
     def best(self) -> Optional[tuple[float, int]]:
         """``(priority, v)`` of the smallest-priority full neighborhood."""
-        full = [
-            (-neg_p, -neg_v) for neg_p, neg_v in self._heap
-            if len(self.collected[-neg_v]) >= self.d2
-        ]
+        full = [(-neg_p, -neg_v) for neg_p, neg_v in self._heap if self._full(-neg_v)]
         return min(full, default=None)
 
     def result(self) -> Optional[tuple[int, set[int]]]:

@@ -90,7 +90,7 @@ class InsertionDeletionND:
 
     # ------------------------------------------------------------------ #
 
-    def recovered_neighborhoods(self) -> dict[int, set[int]]:
+    def neighborhoods(self) -> dict[int, set[int]]:
         """Distinct recovered edges grouped by A-vertex, both strategies."""
         nbrs: dict[int, set[int]] = {}
         rec_v = self.vertex_bank.sample_all()
@@ -108,7 +108,7 @@ class InsertionDeletionND:
 
     def result(self) -> Optional[tuple[int, set[int]]]:
         """Largest stored neighborhood if it reaches ``d/c``, else None."""
-        nbrs = self.recovered_neighborhoods()
+        nbrs = self.neighborhoods()
         if not nbrs:
             return None
         v, bs = max(nbrs.items(), key=lambda kv: (len(kv[1]), -kv[0]))

@@ -28,13 +28,24 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.deg_res_sampling import DegResSampling, _priority
+from repro.core.deg_res_sampling import DegResSampling, _priority, insertion_batch
 from repro.space import reservoir_size
 
 
 def run_thresholds(d: int, c: int) -> list[int]:
     """The ``c`` candidate thresholds ``max(1, i*d/c)``, ``i=0..c-1``."""
     return [max(1, (i * d) // c) for i in range(c)]
+
+
+def algorithm2_runs(
+    deg: np.ndarray, d: int, c: int, seed: int, s: int
+) -> list[DegResSampling]:
+    """Algorithm 2's ``c`` runs over the shared degree array ``deg``."""
+    d_c = max(1, d // c)
+    return [
+        DegResSampling(len(deg), d1, d_c, s, seed=seed * 1000 + i, shared_degrees=deg)
+        for i, d1 in enumerate(run_thresholds(d, c))
+    ]
 
 
 class InsertionOnlyND:
@@ -49,23 +60,10 @@ class InsertionOnlyND:
         self.d_c = max(1, d // c)
         self.s = reservoir_size(n, c) if s is None else s
         self.deg = np.zeros(n, dtype=np.int64)
-        self.runs = [
-            DegResSampling(
-                n, d1, self.d_c, self.s, seed=seed * 1000 + i, shared_degrees=self.deg
-            )
-            for i, d1 in enumerate(run_thresholds(d, c))
-        ]
+        self.runs = algorithm2_runs(self.deg, d, c, seed, self.s)
 
     def process_batch(self, batch: pd.DataFrame) -> None:
-        if (batch["op"].to_numpy() != 1).any():
-            raise ValueError("insertion-only algorithm got a deletion")
-        a = batch["a"].to_numpy()
-        b = batch["b"].to_numpy()
-        occ = pd.Series(a).groupby(a).cumcount().to_numpy()
-        new_deg = self.deg[a] + occ + 1
-        for run in self.runs:
-            run.ingest(a, b, np.flatnonzero(new_deg == run.d1))
-        np.add.at(self.deg, a, 1)
+        insertion_batch(self.deg, self.runs, batch)
 
     def result(self) -> Optional[tuple[int, set[int]]]:
         """The full neighborhood of smallest priority over all runs.

@@ -21,8 +21,10 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
+from repro.core.deg_res_sampling import insertion_batch
 from repro.core.insertion_deletion import InsertionDeletionND
-from repro.core.insertion_only import InsertionOnlyND
+from repro.core.insertion_only import algorithm2_runs
+from repro.space import reservoir_size
 
 
 def delta_guesses(n: int, eps: float = 1.0) -> list[int]:
@@ -78,11 +80,16 @@ class StarDetection:
         self.eps = eps
         self.guesses = delta_guesses(n, eps)
         if model == "insertion_only":
+            # Degrees depend only on the stream: one array serves every guess.
+            self.deg = np.zeros(n, dtype=np.int64)
+            s = reservoir_size(n, self.c)
             self.runs = [
-                InsertionOnlyND(n, d=g, c=self.c, seed=seed + 17 * g)
+                run
                 for g in self.guesses
+                for run in algorithm2_runs(self.deg, g, self.c, seed + 17 * g, s)
             ]
         elif model == "turnstile":
+            self.deg = None
             self.runs = [
                 InsertionDeletionND(n, m=n, d=g, c=self.c, seed=seed + 17 * g)
                 for g in self.guesses
@@ -92,27 +99,22 @@ class StarDetection:
 
     def process_batch(self, batch: pd.DataFrame) -> None:
         doubled = double_cover(batch)
-        for run in self.runs:
-            run.process_batch(doubled)
+        if self.deg is None:
+            for run in self.runs:
+                run.process_batch(doubled)
+        else:
+            insertion_batch(self.deg, self.runs, doubled)
 
     def result(self) -> Optional[tuple[int, set[int]]]:
-        """Largest star any guess found."""
+        """Largest nonempty neighborhood stored by any run of any guess."""
         best: Optional[tuple[int, set[int]]] = None
         for run in self.runs:
-            # Inspect every stored full neighborhood, not just one draw.
-            if isinstance(run, InsertionOnlyND):
-                cands = [
-                    (v, set(bs))
-                    for r in run.runs
-                    for v, bs in r.collected.items()
-                    if len(bs) >= 1
-                ]
-            else:
-                cands = [(v, bs) for v, bs in run.recovered_neighborhoods().items()]
-            for v, bs in cands:
-                if best is None or len(bs) > len(best[1]):
+            for v, bs in run.neighborhoods().items():
+                bs = set(bs)
+                if bs and (best is None or len(bs) > len(best[1])):
                     best = (v, bs)
         return best
 
     def space_words(self) -> int:
-        return sum(r.space_words() for r in self.runs)
+        own = 0 if self.deg is None else self.n
+        return own + sum(r.space_words() for r in self.runs)

@@ -185,14 +185,6 @@ def turnstile_star_pandas(
     ).reset_index(drop=True), info
 
 
-def turnstile_star_stream(
-    spark: SparkSession, **kwargs
-) -> tuple[DataFrame, dict]:
-    """Spark wrapper for :func:`turnstile_star_pandas`."""
-    pdf, info = turnstile_star_pandas(**kwargs)
-    return spark.createDataFrame(pdf), info
-
-
 def general_graph_pandas(
     *, n: int, avg_deg: float = 4.0, planted_deg: int | None = None, seed: int = 0
 ) -> tuple[pd.DataFrame, dict]:

@@ -287,48 +287,39 @@ def table6(
     ns: tuple[int, ...] = (512, 2048),
     seed: int = 0,
 ) -> pd.DataFrame:
+    # (model, n, avg_deg, planted_deg, c, budget); turnstile (Cor. 5.5) at small n
+    configs = [
+        ("insertion_only", n, 4.0, n // 8, None, round(n * math.log(n) ** 2))
+        for n in ns
+    ]
+    configs.append(("turnstile", 128, 3.0, 32, 4, round(128**1.5 * math.log(128))))
     rows = []
-    for n in ns:
+    for model, n, avg_deg, planted_deg, c, budget in configs:
         pdf, info = synth_data.general_graph_pandas(
-            n=n, avg_deg=4.0, planted_deg=n // 8, seed=seed
+            n=n, avg_deg=avg_deg, planted_deg=planted_deg, seed=seed
         )
-        sd = StarDetection(n, eps=1.0, seed=seed, model="insertion_only")
+        sd = StarDetection(n, c=c, eps=1.0, seed=seed, model=model)
         run_stream_pandas(sd, pdf)
         res = sd.result()
         found = len(res[1]) if res else 0
+        # leaves form a set (distinct); each must be an input edge (u < v)
+        edges = set(zip(pdf["u"].tolist(), pdf["v"].tolist()))
+        valid = res is not None and all(
+            (min(res[0], b), max(res[0], b)) in edges for b in res[1]
+        )
         rows.append(
             {
-                "model": "insertion_only",
+                "model": model,
                 "n": n,
                 "true_delta": info["delta"],
                 "found_star": found,
+                "valid_output": bool(valid),
                 "approx_ratio": info["delta"] / max(found, 1),
                 "paper_guarantee": (1 + sd.eps) * sd.c,
                 "measured_words": sd.space_words(),
-                "semi_streaming_budget": round(n * math.log(n) ** 2),
+                "semi_streaming_budget": budget,
             }
         )
-    # turnstile variant at small n (Corollary 5.5)
-    n = 128
-    pdf, info = synth_data.general_graph_pandas(
-        n=n, avg_deg=3.0, planted_deg=n // 4, seed=seed
-    )
-    sd = StarDetection(n, c=4, eps=1.0, seed=seed, model="turnstile")
-    run_stream_pandas(sd, pdf)
-    res = sd.result()
-    found = len(res[1]) if res else 0
-    rows.append(
-        {
-            "model": "turnstile",
-            "n": n,
-            "true_delta": info["delta"],
-            "found_star": found,
-            "approx_ratio": info["delta"] / max(found, 1),
-            "paper_guarantee": 2 * 4.0,
-            "measured_words": sd.space_words(),
-            "semi_streaming_budget": round(n**1.5 * math.log(n)),
-        }
-    )
     return pd.DataFrame(rows)
 
 

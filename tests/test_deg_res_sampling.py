@@ -176,3 +176,15 @@ def test_shared_degree_mode_does_not_own_degrees():
     deg = np.zeros(8, dtype=np.int64)
     p = DegResSampling(8, 2, 2, 2, shared_degrees=deg)
     assert p.space_words() < 8  # no degree array charged
+    with pytest.raises(RuntimeError):  # its owner updates deg; this would double-count
+        p.process_batch(mk_stream(star(0, 3)))
+    assert deg.sum() == 0
+
+
+def test_repeated_edge_counts_once():
+    """Simple-stream contract: a repeated edge is one witness, not two."""
+    edges = [(2, 7), (2, 7), (2, 8), (2, 8), (2, 9)]
+    p = run_stream_pandas(DegResSampling(10, d1=1, d2=4, s=4), mk_stream(edges))
+    assert p.collected[2] == [7, 7, 8, 8]  # duplicates used up the slots
+    assert not p.succeeded()
+    assert p.best() is None and p.result() is None

@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro import space, synth_data
+from repro.core.deg_res_sampling import DegResSampling
 from repro.core.insertion_only import InsertionOnlyND, run_thresholds
 from repro.streamsim.runner import checkpoint, restore, run_stream_pandas
 
@@ -32,6 +33,22 @@ def test_rejects_deletions():
         p.process_batch(
             pd.DataFrame({"pos": [0], "a": [0], "b": [0], "op": [-1]})
         )
+
+
+@pytest.mark.parametrize("proc", [
+    lambda: InsertionOnlyND(8, 3, 1),
+    lambda: DegResSampling(8, 3, 1, 1),
+], ids=["InsertionOnlyND", "DegResSampling"])
+@pytest.mark.parametrize("a", [[-1, -1, -1], [8]], ids=["negative", "n"])
+def test_rejects_out_of_range_vertex(proc, a):
+    """A negative a must not alias vertex n-1, nor a >= n raise IndexError."""
+    p = proc()
+    batch = pd.DataFrame(
+        {"pos": range(len(a)), "a": a, "b": range(5, 5 + len(a)), "op": 1}
+    )
+    with pytest.raises(ValueError, match=rf"a={a[0]} .*n=8"):
+        p.process_batch(batch)
+    assert p.deg.sum() == 0
 
 
 def test_reservoir_size_matches_theorem():

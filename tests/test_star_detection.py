@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro import synth_data
+from repro.core.insertion_only import InsertionOnlyND
 from repro.core.star_detection import StarDetection, delta_guesses, double_cover
 from repro.streamsim.runner import run_stream_pandas
 
@@ -75,3 +76,48 @@ def test_space_is_semi_streaming_scale():
     sd = StarDetection(n, seed=3, model="insertion_only")
     run_stream_pandas(sd, pdf)
     assert sd.space_words() <= n * int(math.log(n)) ** 3
+
+
+class PerGuessReference:
+    """The original construction: one independent InsertionOnlyND per guess."""
+
+    def __init__(self, n, c, seed, guesses):
+        self.procs = [InsertionOnlyND(n, g, c, seed + 17 * g) for g in guesses]
+
+    def process_batch(self, batch):
+        doubled = double_cover(batch)
+        for p in self.procs:
+            p.process_batch(doubled)
+
+    def result(self):
+        best = None
+        for p in self.procs:
+            for r in p.runs:
+                for v, bs in r.collected.items():
+                    if len(bs) >= 1 and (best is None or len(set(bs)) > len(best[1])):
+                        best = (v, set(bs))
+        return best
+
+
+@pytest.mark.parametrize("n,planted,seed", [(128, 32, 83), (512, 64, 5)])
+def test_shared_degrees_match_per_guess_processors(n, planted, seed):
+    pdf, _ = synth_data.general_graph_pandas(
+        n=n, avg_deg=3.0, planted_deg=planted, seed=seed
+    )
+    sd = StarDetection(n, seed=seed, model="insertion_only")
+    ref = PerGuessReference(n, sd.c, seed, sd.guesses)
+    for proc in (sd, ref):
+        run_stream_pandas(proc, pdf, batch_size=500)
+    ref_runs = [r for p in ref.procs for r in p.runs]
+    assert len(sd.runs) == len(ref_runs)
+    for got, want in zip(sd.runs, ref_runs):
+        params = (got.d1, got.d2, got.s, got.seed)
+        assert params == (want.d1, want.d2, want.s, want.seed)
+        assert got.collected == want.collected
+        assert got.x == want.x
+    assert sd.result() is not None
+    assert sd.result() == ref.result()
+    assert sd.space_words() == n + sum(r.space_words() for r in sd.runs)
+    # one degree array in place of one per guess
+    ref_words = sum(p.space_words() for p in ref.procs)
+    assert sd.space_words() == ref_words - (len(sd.guesses) - 1) * n
